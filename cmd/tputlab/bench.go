@@ -11,6 +11,7 @@ package main
 // comparison is needed.
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -22,7 +23,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -68,25 +68,20 @@ type FaultOverhead struct {
 	HeavyOverOff float64 `json:"heavy_over_off_ratio"`
 }
 
-// StreamingResult measures one chunked CollectStream campaign: the
+// StreamingResult measures one chunked CollectStreamCtx campaign: the
 // streamed-collection envelope (chunk count, peak in-flight records)
 // next to its throughput, so perf PRs can see both the memory bound
 // and the records-per-second cost of streaming.
 type StreamingResult struct {
-	Scale        string `json:"scale"`
-	Tests        int    `json:"tests"`
-	Traces       int    `json:"traces"`
-	Chunks       int    `json:"chunks"`
-	ChunkTests   int    `json:"chunk_tests"`
-	PeakInFlight int    `json:"peak_in_flight"`
-	Workers      int    `json:"workers"`
-	// Pipelined marks chunk-parallel production (PipelineChunks > 0);
-	// PipelineWindow is the reorder-window depth that bounded it. The
-	// corpus is byte-identical either way — these rows measure cost.
-	Pipelined      bool    `json:"pipelined"`
-	PipelineWindow int     `json:"pipeline_window,omitempty"`
-	WallSeconds    float64 `json:"wall_seconds"`
-	TestsPerSec    float64 `json:"tests_per_second"`
+	Scale        string  `json:"scale"`
+	Tests        int     `json:"tests"`
+	Traces       int     `json:"traces"`
+	Chunks       int     `json:"chunks"`
+	ChunkTests   int     `json:"chunk_tests"`
+	PeakInFlight int     `json:"peak_in_flight"`
+	Workers      int     `json:"workers"`
+	WallSeconds  float64 `json:"wall_seconds"`
+	TestsPerSec  float64 `json:"tests_per_second"`
 }
 
 // CorpusFormatResult is one persisted-corpus format measurement: the
@@ -172,7 +167,7 @@ func corpusFormatRows(w *topogen.World, cfg platform.CollectConfig, scaleName st
 	meta := export.StreamMeta{Scale: scaleName, Seed: cfg.Seed, Tests: cfg.Tests}
 
 	fmt.Fprintf(os.Stderr, "bench: corpus formats (%s): discard-sink collection baseline...\n", scaleName)
-	base, err := platform.CollectStream(w, cfg, workers, func(*platform.Chunk) error { return nil })
+	base, err := platform.CollectStreamCtx(context.Background(), w, cfg, workers, func(*platform.Chunk) error { return nil })
 	if err != nil {
 		return nil, err
 	}
@@ -191,7 +186,7 @@ func corpusFormatRows(w *topogen.World, cfg platform.CollectConfig, scaleName st
 			return nil, err
 		}
 		start := time.Now()
-		st, err := platform.CollectStream(w, cfg, workers, cw.WriteChunk)
+		st, err := platform.CollectStreamCtx(context.Background(), w, cfg, workers, cw.WriteChunk)
 		if err == nil {
 			err = cw.Close()
 		}
@@ -298,7 +293,7 @@ func checkpointOverheadRow(w *topogen.World, cfg platform.CollectConfig, scaleNa
 			return 0, err
 		}
 		start := time.Now()
-		_, err = platform.CollectStream(w, cfg, workers, cw.WriteChunk)
+		_, err = platform.CollectStreamCtx(context.Background(), w, cfg, workers, cw.WriteChunk)
 		if err == nil {
 			err = cw.Close()
 		}
@@ -314,7 +309,7 @@ func checkpointOverheadRow(w *topogen.World, cfg platform.CollectConfig, scaleNa
 			return 0, err
 		}
 		start := time.Now()
-		_, err = platform.CollectStream(w, cfg, workers, cw.WriteChunk)
+		_, err = platform.CollectStreamCtx(context.Background(), w, cfg, workers, cw.WriteChunk)
 		if err == nil {
 			err = cw.Close()
 		} else {
@@ -410,10 +405,6 @@ type Baseline struct {
 	Observability *obs.Dump `json:"observability,omitempty"`
 }
 
-// benchStreamWindow is the reorder-window depth the pipelined
-// streaming rows run at; it matches the CI streaming smoke.
-const benchStreamWindow = 4
-
 // resolverRates snapshots a world resolver's cache efficiency as
 // percentages.
 func resolverRates(r *routing.Resolver) map[string]float64 {
@@ -429,19 +420,6 @@ func resolverRates(r *routing.Resolver) map[string]float64 {
 		"inter":   rate(st.InterHits, st.InterMisses),
 		"aspath":  rate(st.ASPathHits, st.ASPathMisses),
 	}
-}
-
-// parseWorkerList parses a "1,2,8"-style -stream-workers value.
-func parseWorkerList(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("invalid -stream-workers entry %q (want positive integers, e.g. 1,2,8)", part)
-		}
-		out = append(out, n)
-	}
-	return out, nil
 }
 
 func record(name string, r testing.BenchmarkResult) BenchResult {
@@ -463,7 +441,6 @@ func benchCmd(args []string) error {
 	genWorkers := fs.Int("genworkers", runtime.GOMAXPROCS(0), "world-generation worker count for the parallel generation measurement")
 	quick := fs.Bool("quick", false, "CI smoke mode: small-scale measurements only")
 	streamScale := fs.String("stream-scale", "", "also measure streamed collection at this -scale profile (e.g. large, xlarge)")
-	streamWorkers := fs.String("stream-workers", "", "comma-separated worker counts for pipelined -stream-scale rows (e.g. 1,2,8)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -574,7 +551,7 @@ func benchCmd(args []string) error {
 		b.Benchmarks = append(b.Benchmarks, record("CorpusCollection/small", testing.Benchmark(func(tb *testing.B) {
 			tb.ReportAllocs()
 			for i := 0; i < tb.N; i++ {
-				if _, err := platform.Collect(w, smallCfg); err != nil {
+				if _, err := platform.CollectParallelCtx(context.Background(), w, smallCfg, 1); err != nil {
 					tb.Fatal(err)
 				}
 			}
@@ -589,7 +566,7 @@ func benchCmd(args []string) error {
 		rOff := testing.Benchmark(func(tb *testing.B) {
 			tb.ReportAllocs()
 			for i := 0; i < tb.N; i++ {
-				if _, err := platform.Collect(w, smallCfg); err != nil {
+				if _, err := platform.CollectParallelCtx(context.Background(), w, smallCfg, 1); err != nil {
 					tb.Fatal(err)
 				}
 			}
@@ -597,7 +574,7 @@ func benchCmd(args []string) error {
 		rHeavy := testing.Benchmark(func(tb *testing.B) {
 			tb.ReportAllocs()
 			for i := 0; i < tb.N; i++ {
-				if _, err := platform.Collect(w, heavyCfg); err != nil {
+				if _, err := platform.CollectParallelCtx(context.Background(), w, heavyCfg, 1); err != nil {
 					tb.Fatal(err)
 				}
 			}
@@ -631,7 +608,7 @@ func benchCmd(args []string) error {
 		return testing.Benchmark(func(tb *testing.B) {
 			tb.ReportAllocs()
 			for i := 0; i < tb.N; i++ {
-				if _, err := platform.Collect(w, tCfg); err != nil {
+				if _, err := platform.CollectParallelCtx(context.Background(), w, tCfg, 1); err != nil {
 					tb.Fatal(err)
 				}
 			}
@@ -651,7 +628,7 @@ func benchCmd(args []string) error {
 				cfg := tCfg
 				cfg.Obs = reg
 				tb.StartTimer()
-				if _, err := platform.Collect(w, cfg); err != nil {
+				if _, err := platform.CollectParallelCtx(context.Background(), w, cfg, 1); err != nil {
 					tb.Fatal(err)
 				}
 				tb.StopTimer()
@@ -726,7 +703,7 @@ func benchCmd(args []string) error {
 		cfg.Tests = scale.tests
 		cfg.Obs = reg
 		start := time.Now()
-		corpus, err := platform.CollectParallel(fw, cfg, *workers)
+		corpus, err := platform.CollectParallelCtx(context.Background(), fw, cfg, *workers)
 		if err != nil {
 			return err
 		}
@@ -745,7 +722,7 @@ func benchCmd(args []string) error {
 			scfg.ChunkTests = 1
 		}
 		fmt.Fprintf(os.Stderr, "bench: streamed collection (%s, chunk size %d)...\n", scale.name, scfg.ChunkTests)
-		sst, err := platform.CollectStream(fw, scfg, *workers, func(*platform.Chunk) error { return nil })
+		sst, err := platform.CollectStreamCtx(context.Background(), fw, scfg, *workers, func(*platform.Chunk) error { return nil })
 		if err != nil {
 			return err
 		}
@@ -754,28 +731,12 @@ func benchCmd(args []string) error {
 			Chunks: sst.Chunks, ChunkTests: scfg.ChunkTests, PeakInFlight: sst.PeakInFlight,
 			Workers: *workers, WallSeconds: sst.WallSeconds, TestsPerSec: sst.TestsPerSec,
 		})
-		// Pipelined leg on the same config: chunk-parallel production
-		// behind the reorder window, so every baseline carries a
-		// barrier-vs-pipelined pair per scale.
-		pcfg := scfg
-		pcfg.PipelineChunks = benchStreamWindow
-		fmt.Fprintf(os.Stderr, "bench: streamed collection (%s, pipelined, window %d)...\n", scale.name, pcfg.PipelineChunks)
-		pst, err := platform.CollectStream(fw, pcfg, *workers, func(*platform.Chunk) error { return nil })
-		if err != nil {
-			return err
-		}
-		b.Streaming = append(b.Streaming, StreamingResult{
-			Scale: scale.name, Tests: pst.Tests, Traces: pst.Traces,
-			Chunks: pst.Chunks, ChunkTests: pcfg.ChunkTests, PeakInFlight: pst.PeakInFlight,
-			Workers: *workers, Pipelined: true, PipelineWindow: pcfg.PipelineChunks,
-			WallSeconds: pst.WallSeconds, TestsPerSec: pst.TestsPerSec,
-		})
 		if reg != nil {
 			b.ResolverCacheHitRates = resolverRates(fw.Resolver)
 			bus.Close() // drain so the event totals are final
 			b.Observability = reg.Snapshot()
 		}
-		// The streamed legs exercised the resolver either way: in -quick
+		// The streamed leg exercised the resolver either way: in -quick
 		// mode (no medium run) snapshot the cache efficiency here so the
 		// baseline never carries a null rate table.
 		if b.ResolverCacheHitRates == nil {
@@ -816,12 +777,9 @@ func benchCmd(args []string) error {
 		if chunk <= 0 {
 			chunk = platform.DefaultChunkTests
 		}
-		// One barrier row for continuity with earlier baselines, then
-		// (with -stream-workers) pipelined rows across worker counts on
-		// the same warm world — the corpus is identical in every row.
 		fmt.Fprintf(os.Stderr, "bench: streamed collection (%s, %d tests, %d workers, chunk size %d)...\n",
 			*streamScale, cfg.Tests, *workers, chunk)
-		sst, err := platform.CollectStream(sw, cfg, *workers, func(*platform.Chunk) error { return nil })
+		sst, err := platform.CollectStreamCtx(context.Background(), sw, cfg, *workers, func(*platform.Chunk) error { return nil })
 		if err != nil {
 			return err
 		}
@@ -830,28 +788,6 @@ func benchCmd(args []string) error {
 			Chunks: sst.Chunks, ChunkTests: chunk, PeakInFlight: sst.PeakInFlight,
 			Workers: *workers, WallSeconds: sst.WallSeconds, TestsPerSec: sst.TestsPerSec,
 		})
-		if *streamWorkers != "" {
-			counts, err := parseWorkerList(*streamWorkers)
-			if err != nil {
-				return err
-			}
-			for _, n := range counts {
-				pcfg := cfg
-				pcfg.PipelineChunks = benchStreamWindow
-				fmt.Fprintf(os.Stderr, "bench: streamed collection (%s, pipelined, %d workers, window %d)...\n",
-					*streamScale, n, pcfg.PipelineChunks)
-				pst, err := platform.CollectStream(sw, pcfg, n, func(*platform.Chunk) error { return nil })
-				if err != nil {
-					return err
-				}
-				b.Streaming = append(b.Streaming, StreamingResult{
-					Scale: *streamScale, Tests: pst.Tests, Traces: pst.Traces,
-					Chunks: pst.Chunks, ChunkTests: chunk, PeakInFlight: pst.PeakInFlight,
-					Workers: n, Pipelined: true, PipelineWindow: pcfg.PipelineChunks,
-					WallSeconds: pst.WallSeconds, TestsPerSec: pst.TestsPerSec,
-				})
-			}
-		}
 		if b.ResolverCacheHitRates == nil {
 			b.ResolverCacheHitRates = resolverRates(sw.Resolver)
 		}

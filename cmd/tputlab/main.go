@@ -163,12 +163,6 @@ flags for run/report:
   -tests N               NDT corpus size (0 = scale default)
   -parallel N            engine worker count (default GOMAXPROCS);
                          results are identical for every N
-  -pipeline N            chunk-parallel streamed collection: workers
-                         produce whole chunks concurrently and a
-                         reorder buffer of depth N re-sequences them
-                         (0 = per-chunk barrier, the default); the
-                         corpus and report are byte-identical for
-                         every value
   -genworkers N          world-generation worker count (default
                          GOMAXPROCS); the world is byte-identical
                          for every N
@@ -238,7 +232,6 @@ type commonFlags struct {
 	seed         *int64
 	tests        *int
 	workers      *int
-	pipeline     *int
 	genWorkers   *int
 	corpusFormat *string
 	faults       *string
@@ -268,7 +261,6 @@ func addCommonFlags(fs *flag.FlagSet) *commonFlags {
 		seed:         fs.Int64("seed", 1, "generation seed"),
 		tests:        fs.Int("tests", 0, "NDT corpus size override"),
 		workers:      fs.Int("parallel", runtime.GOMAXPROCS(0), "engine worker count"),
-		pipeline:     fs.Int("pipeline", 0, "streamed chunk-pipeline reorder window, 0 = per-chunk barrier"),
 		genWorkers:   fs.Int("genworkers", runtime.GOMAXPROCS(0), "world-generation worker count"),
 		corpusFormat: fs.String("corpus-format", "", "corpus file format: ndjson or columnar (write default ndjson; read default auto-detect)"),
 		faults:       fs.String("faults", "off", "fault-injection profile: off, light, moderate or heavy"),
@@ -312,9 +304,6 @@ func (cf *commonFlags) options() (experiments.Options, *obs.Registry, error) {
 	if err := validateWorkers("genworkers", *cf.genWorkers); err != nil {
 		return experiments.Options{}, nil, err
 	}
-	if *cf.pipeline < 0 {
-		return experiments.Options{}, nil, fmt.Errorf("-pipeline must be >= 0 (got %d)", *cf.pipeline)
-	}
 	switch *cf.corpusFormat {
 	case "", "auto", "ndjson", "columnar":
 	default:
@@ -338,7 +327,6 @@ func (cf *commonFlags) options() (experiments.Options, *obs.Registry, error) {
 	opts.Collect.Faults = prof
 	opts.Collect.FaultSeed = *cf.faultSeed
 	opts.Collect.ChunkTests = *cf.chunkTests
-	opts.Collect.PipelineChunks = *cf.pipeline
 	opts.Workers = *cf.workers
 	var reg *obs.Registry
 	if *cf.metrics || *cf.metricsJSON != "" || *cf.events != "" || *cf.progress ||
@@ -571,11 +559,8 @@ func checkResumeFlags(fs *flag.FlagSet) error {
 // returned seal — so the readable path is always absent, a complete
 // prior corpus, or a complete current one.
 //
-// The seal must be called exactly once with the campaign's error: nil
-// publishes atomically and removes the manifest; an interrupt flushes
-// a final checkpoint and keeps the partial corpus plus manifest for
-// -resume (printing the hint); any other error discards both so the
-// first failure propagates with nothing half-written left behind.
+// The seal must be called exactly once with the campaign's error; it
+// is sealCorpus once the sink has been armed.
 func teeCorpus(path, format string, opts *experiments.Options, scale string, every int) func(error) error {
 	if format == "" || format == "auto" {
 		format = "ndjson"
@@ -597,29 +582,38 @@ func teeCorpus(path, format string, opts *experiments.Options, scale string, eve
 		if w == nil {
 			return runErr // campaign died before the sink was armed
 		}
-		switch {
-		case runErr == nil:
-			ft := w.Footer()
-			if err := w.Close(); err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "corpus: wrote %s (%d chunks, %d tests, %d traces)\n",
-				path, ft.Chunks, ft.Tests, ft.Traces)
-			return nil
-		case errors.Is(runErr, platform.ErrInterrupted):
-			mpath, err := w.Interrupt()
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "tputlab: checkpoint flush on interrupt failed:", err)
-				return runErr
-			}
-			d := w.Durable()
-			fmt.Fprintf(os.Stderr, "corpus: interrupted with %d chunks (%d tests) durable; continue with:\n  tputlab report -resume %s\n",
-				d.Chunks, d.Tests, mpath)
-			return runErr
-		default:
-			w.Discard()
+		return sealCorpus(w, path, runErr)
+	}
+}
+
+// sealCorpus ends a checkpointed campaign with its error: nil publishes
+// the corpus at path atomically and removes the manifest; an interrupt
+// flushes a final checkpoint and keeps the partial corpus plus manifest
+// for -resume (printing the hint); any other error discards both so the
+// first failure propagates with nothing half-written left behind.
+func sealCorpus(w *checkpoint.Writer, path string, runErr error) error {
+	switch {
+	case runErr == nil:
+		ft := w.Footer()
+		if err := w.Close(); err != nil {
+			return err
+		}
+		fmt.Fprintf(os.Stderr, "corpus: wrote %s (%d chunks, %d tests, %d traces)\n",
+			path, ft.Chunks, ft.Tests, ft.Traces)
+		return nil
+	case errors.Is(runErr, platform.ErrInterrupted):
+		mpath, err := w.Interrupt()
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "tputlab: checkpoint flush on interrupt failed:", err)
 			return runErr
 		}
+		d := w.Durable()
+		fmt.Fprintf(os.Stderr, "corpus: interrupted with %d chunks (%d tests) durable; continue with:\n  tputlab report -resume %s\n",
+			d.Chunks, d.Tests, mpath)
+		return runErr
+	default:
+		w.Discard()
+		return runErr
 	}
 }
 
@@ -673,10 +667,8 @@ func resumeCampaign(ctx context.Context, cf *commonFlags) (*experiments.Env, *ob
 		fingerprintFromOpts(fp.Scale, opts, fp.Format), opts.Workers,
 		checkpoint.Options{SyncEveryChunks: *cf.ckptEvery},
 		func(c *export.StreamChunk) error {
-			corpus.Tests = append(corpus.Tests, c.Tests...)
-			corpus.Traces = append(corpus.Traces, c.Traces...)
-			corpus.TestsWithoutTrace += c.TestsWithoutTrace
-			corpus.Completeness.Merge(c.Completeness)
+			corpus.Append(&platform.Chunk{Tests: c.Tests, Traces: c.Traces,
+				TestsWithoutTrace: c.TestsWithoutTrace, Completeness: c.Completeness})
 			return nil
 		})
 	if err != nil {
@@ -685,37 +677,16 @@ func resumeCampaign(ctx context.Context, cf *commonFlags) (*experiments.Env, *ob
 
 	cfg := opts.Collect
 	cfg.StartChunk = m.Durable.Chunks
-	_, cerr := platform.CollectStreamCtx(ctx, w, cfg, opts.Workers, func(c *platform.Chunk) error {
+	_, err = platform.CollectStreamCtx(ctx, w, cfg, opts.Workers, func(c *platform.Chunk) error {
 		if err := cw.WriteChunk(c); err != nil {
 			return err
 		}
-		corpus.Tests = append(corpus.Tests, c.Tests...)
-		corpus.Traces = append(corpus.Traces, c.Traces...)
-		corpus.TestsWithoutTrace += c.TestsWithoutTrace
-		corpus.Completeness.Merge(c.Completeness)
+		corpus.Append(c)
 		return nil
 	})
-	if cerr != nil {
-		if errors.Is(cerr, platform.ErrInterrupted) {
-			mpath, ierr := cw.Interrupt()
-			if ierr != nil {
-				fmt.Fprintln(os.Stderr, "tputlab: checkpoint flush on interrupt failed:", ierr)
-			} else {
-				d := cw.Durable()
-				fmt.Fprintf(os.Stderr, "corpus: interrupted with %d chunks (%d tests) durable; continue with:\n  tputlab report -resume %s\n",
-					d.Chunks, d.Tests, mpath)
-			}
-		} else {
-			cw.Discard()
-		}
-		return nil, reg, cerr
-	}
-	ft := cw.Footer()
-	if err := cw.Close(); err != nil {
+	if err = sealCorpus(cw, m.CorpusFinal, err); err != nil {
 		return nil, reg, err
 	}
-	fmt.Fprintf(os.Stderr, "corpus: wrote %s (%d chunks, %d tests, %d traces)\n",
-		m.CorpusFinal, ft.Chunks, ft.Tests, ft.Traces)
 	return experiments.NewEnvWithCorpus(opts, w, corpus), reg, nil
 }
 
@@ -727,7 +698,7 @@ func resumeCampaign(ctx context.Context, cf *commonFlags) (*experiments.Env, *ob
 // per-test aggregation, trace matching, and the bdrmap border
 // accumulator overlapping. Peak memory is a few chunks plus the
 // matcher's watermark window; the rendered report is byte-identical to
-// the batch path at every -parallel/-pipeline value.
+// the batch path at every -parallel value.
 func reportStreamed(ctx context.Context, opts experiments.Options, reg *obs.Registry, scale, corpusOut, corpusFormat string, ckptEvery int) (string, error) {
 	opts.Topo.Obs = reg
 	opts.Collect.Obs = reg

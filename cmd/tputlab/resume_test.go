@@ -28,7 +28,7 @@ func TestResumeFlagConflicts(t *testing.T) {
 		want []string
 	}{
 		{"no_flags", []string{"-resume", "m.json"}, nil},
-		{"non_identity_ok", []string{"-resume", "m.json", "-parallel", "4", "-metrics", "-pipeline", "2", "-checkpoint-every", "1", "-progress"}, nil},
+		{"non_identity_ok", []string{"-resume", "m.json", "-parallel", "4", "-metrics", "-genworkers", "2", "-checkpoint-every", "1", "-progress"}, nil},
 		{"scale", []string{"-resume", "m.json", "-scale", "large"}, []string{"-scale"}},
 		{"seed", []string{"-resume", "m.json", "-seed", "2"}, []string{"-seed"}},
 		{"tests", []string{"-resume", "m.json", "-tests", "100"}, []string{"-tests"}},
@@ -87,7 +87,7 @@ func TestResumeCampaignEndToEnd(t *testing.T) {
 	refPath := filepath.Join(dir, "ref.corpus")
 	refOpts := chunked()
 	refSeal := teeCorpus(refPath, "ndjson", &refOpts, "small", 1)
-	refEnv, err := experiments.NewEnv(refOpts)
+	refEnv, err := experiments.NewEnvCtx(context.Background(), refOpts)
 	if err = refSeal(err); err != nil {
 		t.Fatal(err)
 	}

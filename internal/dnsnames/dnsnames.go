@@ -84,7 +84,7 @@ func Assign(t *topology.Topology, seed int64, noPTRFrac float64) {
 
 // AssignWorkers is Assign sharded per-AS over a worker pool. Each AS
 // gets its own RNG stream derived splitmix-style from (seed, AS index)
-// — the same scheme the platform's CollectParallel uses for shards —
+// — the same scheme the platform's CollectParallelCtx uses for shards —
 // and every interface belongs to exactly one AS, so writes are
 // disjoint and the assignment is byte-identical at any worker count.
 // sp, when non-nil, receives one child span per worker.

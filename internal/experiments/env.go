@@ -30,9 +30,9 @@ type Options struct {
 	// MAP-IT inference (0 or 1 = serial). Results are identical for
 	// every worker count — see the determinism contract in DESIGN.md.
 	Workers int
-	// Obs, when non-nil, instruments the whole pipeline: NewEnv threads
+	// Obs, when non-nil, instruments the whole pipeline: NewEnvCtx threads
 	// it through world generation, corpus collection, and the shared
-	// inference stages, and RunParallel records per-experiment spans on
+	// inference stages, and RunParallelCtx records per-experiment spans on
 	// it. Experiment output is byte-identical with and without it.
 	Obs *obs.Registry
 	// CorpusSink, when non-nil, receives the generated world before
@@ -82,18 +82,13 @@ type Env struct {
 	vps     []*VPAnalysis
 }
 
-// NewEnv generates the world, collects the corpus, and runs the shared
-// inference stages, using opts.Workers goroutines for the collection
-// and inference phases. When opts.Obs is set, every phase is traced and
-// the layers report their metrics to it.
-func NewEnv(opts Options) (*Env, error) {
-	return NewEnvCtx(context.Background(), opts)
-}
-
-// NewEnvCtx is NewEnv under cooperative cancellation: generation stops
-// at its next phase boundary and collection at its next chunk boundary,
-// returning an error that wraps the context's cause (ErrInterrupted
-// when the CLI's signal handler cancelled).
+// NewEnvCtx generates the world, collects the corpus, and runs the
+// shared inference stages, using opts.Workers goroutines for the
+// collection and inference phases. When opts.Obs is set, every phase is
+// traced and the layers report their metrics to it. Under cancellation,
+// generation stops at its next phase boundary and collection at its
+// next chunk boundary, returning an error that wraps the context's
+// cause (ErrInterrupted when the CLI's signal handler cancelled).
 func NewEnvCtx(ctx context.Context, opts Options) (*Env, error) {
 	reg := opts.Obs
 	opts.Topo.Obs = reg
@@ -102,33 +97,20 @@ func NewEnvCtx(ctx context.Context, opts Options) (*Env, error) {
 	if err != nil {
 		return nil, err
 	}
-	var corpus *platform.Corpus
+	// Collect through the chunk stream so a CorpusSink sees the corpus
+	// as it is gathered.
+	tee := func(*platform.Chunk) error { return nil }
 	if opts.CorpusSink != nil {
-		tee, err := opts.CorpusSink(w)
-		if err != nil {
+		if tee, err = opts.CorpusSink(w); err != nil {
 			return nil, err
 		}
-		// Collect through the chunk stream so the sink sees the corpus as
-		// it is gathered; the materialized corpus is identical to the
-		// CollectParallel result (CollectParallel is this same stream with
-		// an append sink).
-		c := &platform.Corpus{}
-		st, err := platform.CollectStreamCtx(ctx, w, opts.Collect, opts.workers(), func(ch *platform.Chunk) error {
-			c.Tests = append(c.Tests, ch.Tests...)
-			c.Traces = append(c.Traces, ch.Traces...)
-			c.TestsWithoutTrace += ch.TestsWithoutTrace
-			return tee(ch)
-		})
-		if err != nil {
-			return nil, err
-		}
-		c.Completeness = st.Completeness
-		corpus = c
-	} else {
-		corpus, err = platform.CollectParallelCtx(ctx, w, opts.Collect, opts.workers())
-		if err != nil {
-			return nil, err
-		}
+	}
+	corpus := &platform.Corpus{}
+	if _, err := platform.CollectStreamCtx(ctx, w, opts.Collect, opts.workers(), func(ch *platform.Chunk) error {
+		corpus.Append(ch)
+		return tee(ch)
+	}); err != nil {
+		return nil, err
 	}
 	return NewEnvWithCorpus(opts, w, corpus), nil
 }
@@ -136,7 +118,7 @@ func NewEnvCtx(ctx context.Context, opts Options) (*Env, error) {
 // NewEnvWithCorpus builds an Env over an already-collected corpus —
 // the resume path, where the corpus is spliced together from a replayed
 // prefix and a freshly collected suffix — running only the shared
-// inference stages. The result is identical to NewEnv when the corpus
+// inference stages. The result is identical to NewEnvCtx when the corpus
 // is: inference is a pure function of (world, corpus).
 func NewEnvWithCorpus(opts Options, w *topogen.World, corpus *platform.Corpus) *Env {
 	reg := opts.Obs

@@ -16,7 +16,7 @@ import (
 )
 
 // ExperimentStat records the cost of one experiment inside a
-// RunParallel sweep.
+// RunParallelCtx sweep.
 type ExperimentStat struct {
 	Name string
 	// Wall is the experiment's own wall time.
@@ -27,7 +27,7 @@ type ExperimentStat struct {
 	AllocBytes uint64
 }
 
-// RunStats summarizes a RunParallel sweep. It is a view over the obs
+// RunStats summarizes a RunParallelCtx sweep. It is a view over the obs
 // registry the sweep ran against: per-experiment numbers come from the
 // sweep's "experiments" span tree and alloc gauges, and the resolver
 // block from the same counters `-metrics` renders — there is no second
@@ -115,7 +115,7 @@ func (s *RunStats) Summary() string {
 	return sb.String()
 }
 
-// RunParallel executes every registry experiment over a worker pool
+// RunParallelCtx executes every registry experiment over a worker pool
 // and emits output in registry order, byte-identical to RunAll. When
 // an experiment fails, the output of the registry entries before it is
 // returned together with the error, matching RunAll's partial-output
@@ -129,13 +129,10 @@ func (s *RunStats) Summary() string {
 // Experiments share the Env read-only (the §5 per-VP cache is built
 // once under Env.vpsOnce), so any worker count is safe and the output
 // deterministic.
-func RunParallel(e *Env, workers int) (string, *RunStats, error) {
-	return RunParallelCtx(context.Background(), e, workers)
-}
-
-// RunParallelCtx is RunParallel under cooperative cancellation: workers
-// finish the experiment they are on, claim nothing further, and the
-// call returns an error wrapping the context's cause.
+//
+// Under cancellation, workers finish the experiment they are on, claim
+// nothing further, and the call returns an error wrapping the context's
+// cause.
 func RunParallelCtx(ctx context.Context, e *Env, workers int) (string, *RunStats, error) {
 	entries := Registry()
 	if workers < 1 {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -8,7 +9,7 @@ import (
 	"throughputlab/internal/obs"
 )
 
-// TestRunParallelGolden asserts the engine's core contract: RunParallel
+// TestRunParallelGolden asserts the engine's core contract: RunParallelCtx
 // output is byte-identical to serial RunAll for every worker count.
 func TestRunParallelGolden(t *testing.T) {
 	if testing.Short() {
@@ -22,20 +23,20 @@ func TestRunParallelGolden(t *testing.T) {
 		t.Fatalf("RunAll output suspiciously small (%d bytes)", len(want))
 	}
 	for _, workers := range []int{1, 2, 8} {
-		got, stats, err := RunParallel(env, workers)
+		got, stats, err := RunParallelCtx(context.Background(), env, workers)
 		if err != nil {
-			t.Fatalf("RunParallel(%d): %v", workers, err)
+			t.Fatalf("RunParallelCtx(%d): %v", workers, err)
 		}
 		if got != want {
-			t.Errorf("RunParallel(%d) output differs from RunAll (%d vs %d bytes)",
+			t.Errorf("RunParallelCtx(%d) output differs from RunAll (%d vs %d bytes)",
 				workers, len(got), len(want))
 		}
 		if stats == nil {
-			t.Fatalf("RunParallel(%d): nil stats", workers)
+			t.Fatalf("RunParallelCtx(%d): nil stats", workers)
 		}
 		entries := Registry()
 		if len(stats.Experiments) != len(entries) {
-			t.Fatalf("RunParallel(%d): %d stats, want %d", workers, len(stats.Experiments), len(entries))
+			t.Fatalf("RunParallelCtx(%d): %d stats, want %d", workers, len(stats.Experiments), len(entries))
 		}
 		for i, st := range stats.Experiments {
 			if st.Name != entries[i].Name {
@@ -46,7 +47,7 @@ func TestRunParallelGolden(t *testing.T) {
 			}
 		}
 		if stats.Wall <= 0 {
-			t.Errorf("RunParallel(%d): non-positive sweep wall time", workers)
+			t.Errorf("RunParallelCtx(%d): non-positive sweep wall time", workers)
 		}
 		if s := stats.Summary(); len(s) < 100 {
 			t.Errorf("stats summary too short: %q", s)
@@ -105,12 +106,12 @@ func TestRunParallelGoldenWithObs(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		reg := obs.NewRegistry()
 		env.Opts.Obs = reg
-		got, stats, err := RunParallel(env, workers)
+		got, stats, err := RunParallelCtx(context.Background(), env, workers)
 		if err != nil {
-			t.Fatalf("RunParallel(%d): %v", workers, err)
+			t.Fatalf("RunParallelCtx(%d): %v", workers, err)
 		}
 		if got != want {
-			t.Errorf("instrumented RunParallel(%d) output differs from RunAll (%d vs %d bytes)",
+			t.Errorf("instrumented RunParallelCtx(%d) output differs from RunAll (%d vs %d bytes)",
 				workers, len(got), len(want))
 		}
 		d := reg.Snapshot()
@@ -143,7 +144,7 @@ func TestRunParallelGoldenWithObs(t *testing.T) {
 }
 
 // TestRunParallelFullyInstrumented wires the registry the way the CLI
-// does — before NewEnv, so world generation, collection, and the
+// does — before NewEnvCtx, so world generation, collection, and the
 // sub-environments some experiments rebuild are all traced — and runs
 // the sweep with several workers. Sub-environment experiments push
 // phase spans on the shared registry stack concurrently; under -race
@@ -156,7 +157,7 @@ func TestRunParallelFullyInstrumented(t *testing.T) {
 	reg := obs.NewRegistry()
 	opts := QuickOptions()
 	opts.Obs = reg
-	instrumented, err := NewEnv(opts)
+	instrumented, err := NewEnvCtx(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +165,7 @@ func TestRunParallelFullyInstrumented(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RunAll: %v", err)
 	}
-	got, _, err := RunParallel(instrumented, 4)
+	got, _, err := RunParallelCtx(context.Background(), instrumented, 4)
 	if err != nil {
 		t.Fatalf("RunParallel: %v", err)
 	}
@@ -199,12 +200,12 @@ func TestNewEnvWorkerIndependence(t *testing.T) {
 	}
 	opts := QuickOptions()
 	opts.Collect.Tests = 2000
-	serial, err := NewEnv(opts)
+	serial, err := NewEnvCtx(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.Workers = 4
-	par, err := NewEnv(opts)
+	par, err := NewEnvCtx(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,7 +72,7 @@ func Names() []string {
 }
 
 // RunAll executes every experiment serially and concatenates the
-// rendered output. RunParallel produces byte-identical output with any
+// rendered output. RunParallelCtx produces byte-identical output with any
 // worker count.
 func RunAll(e *Env) (string, error) {
 	var sb strings.Builder
@@ -87,7 +87,7 @@ func RunAll(e *Env) (string, error) {
 }
 
 // renderEntry formats one experiment's contribution to the all-
-// experiments output; RunAll and RunParallel share it so their outputs
+// experiments output; RunAll and RunParallelCtx share it so their outputs
 // stay byte-identical.
 func renderEntry(entry Entry, r Renderer) string {
 	return "=== " + entry.Name + " — " + entry.Paper + " ===\n" + r.Render() + "\n"

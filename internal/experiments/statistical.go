@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -56,7 +57,7 @@ func Matching(e *Env) *MatchingResult {
 	cfg := e.Opts.Collect
 	cfg.Tests *= 2
 	cfg.Seed += 9000
-	if big, err := platform.Collect(e.World, cfg); err == nil {
+	if big, err := platform.CollectParallelCtx(context.TODO(), e.World, cfg, 1); err == nil {
 		m := core.MatchTraces(big.Tests, big.Traces, 10, core.WindowAfter)
 		res.HighVolumeTotal = len(big.Tests)
 		res.HighVolumeAfterRate = m.Rate()
@@ -225,7 +226,7 @@ func Snapshots(e *Env) (*SnapshotsResult, error) {
 	cfgB := e.Opts.Topo
 	cfgB.Seed += 1000 // topology drift between snapshots
 	cfgB.SpeedtestFactor = e.Opts.Topo.SpeedtestFactor * 1.45
-	wB, err := topogen.Generate(cfgB)
+	wB, err := topogen.GenerateCtx(context.TODO(), cfgB)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 	"strings"
@@ -40,22 +41,35 @@ type StratifiedResult struct {
 	Groups []StratifiedGroup
 }
 
+// aggKey names one AS-level aggregate.
+type aggKey struct{ net, metro, isp string }
+
+// less orders aggregates by (ServerNet, ServerMetro, ClientISP).
+func (a aggKey) less(b aggKey) bool {
+	if a.net != b.net {
+		return a.net < b.net
+	}
+	if a.metro != b.metro {
+		return a.metro < b.metro
+	}
+	return a.isp < b.isp
+}
+
 // Stratified re-runs the detector per IP-level interconnection for the
 // largest aggregates.
 func Stratified(e *Env) *StratifiedResult {
-	type gkey struct{ net, metro, isp string }
-	groups := map[gkey][]*ndt.Test{}
+	groups := map[aggKey][]*ndt.Test{}
 	for _, t := range e.Corpus.Tests {
-		k := gkey{t.ServerNet, t.ServerMetro, t.ClientISP}
+		k := aggKey{t.ServerNet, t.ServerMetro, t.ClientISP}
 		groups[k] = append(groups[k], t)
 	}
-	keys := make([]gkey, 0, len(groups))
+	keys := make([]aggKey, 0, len(groups))
 	for k := range groups {
 		if len(groups[k]) >= 400 {
 			keys = append(keys, k)
 		}
 	}
-	sort.Slice(keys, func(i, j int) bool { return len(groups[keys[i]]) > len(groups[keys[j]]) })
+	sortByCount(keys, func(k aggKey) int { return len(groups[k]) }, aggKey.less)
 	if len(keys) > 8 {
 		keys = keys[:8]
 	}
@@ -90,7 +104,7 @@ func Stratified(e *Env) *StratifiedResult {
 				fars = append(fars, far)
 			}
 		}
-		sort.Slice(fars, func(i, j int) bool { return len(perLink[fars[i]]) > len(perLink[fars[j]]) })
+		sortByCount(fars, func(a netaddr.Addr) int { return len(perLink[a]) }, cmp.Less[netaddr.Addr])
 
 		congested, healthy := 0, 0
 		for _, far := range fars {
@@ -116,6 +130,18 @@ func Stratified(e *Env) *StratifiedResult {
 		res.Groups = append(res.Groups, g)
 	}
 	return res
+}
+
+// sortByCount orders keys by descending count, breaking ties with less.
+// The keys come off a map, so without the tie-break equal counts would
+// land in iteration order — and so could which keys survive a top-N cut.
+func sortByCount[K any](keys []K, count func(K) int, less func(a, b K) bool) {
+	sort.Slice(keys, func(i, j int) bool {
+		if ci, cj := count(keys[i]), count(keys[j]); ci != cj {
+			return ci > cj
+		}
+		return less(keys[i], keys[j])
+	})
 }
 
 // HeterogeneousCount returns how many aggregates mix congested and

@@ -615,7 +615,7 @@ func (cw *ColumnarWriter) write(b []byte) error {
 }
 
 // WriteChunk appends one collection chunk; it plugs directly into
-// platform.CollectStream as the sink.
+// platform.CollectStreamCtx as the sink.
 func (cw *ColumnarWriter) WriteChunk(c *platform.Chunk) error {
 	if cw.enc != nil {
 		if err := cw.enc.firstErr(); err != nil {

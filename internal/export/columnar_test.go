@@ -2,6 +2,7 @@ package export
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"hash/crc32"
 	"io"
@@ -17,7 +18,7 @@ import (
 )
 
 // writeColumnar persists a campaign through the columnar writer via
-// platform.CollectStream and returns the bytes plus the stream stats.
+// platform.CollectStreamCtx and returns the bytes plus the stream stats.
 func writeColumnar(t testing.TB, cfg platform.CollectConfig, workers int) (*bytes.Buffer, *platform.StreamStats) {
 	t.Helper()
 	pub := FromWorld(world, nil).Public
@@ -26,7 +27,7 @@ func writeColumnar(t testing.TB, cfg platform.CollectConfig, workers int) (*byte
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := platform.CollectStream(world, cfg, 2, cw.WriteChunk)
+	st, err := platform.CollectStreamCtx(context.Background(), world, cfg, 2, cw.WriteChunk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestColumnarFieldCoverage(t *testing.T) {
 // auto-detection.
 func TestColumnarRoundTrip(t *testing.T) {
 	cfg := streamCfg(400, 64)
-	batch, err := platform.Collect(world, cfg)
+	batch, err := platform.CollectParallelCtx(context.Background(), world, cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

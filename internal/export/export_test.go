@@ -2,6 +2,7 @@ package export
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"throughputlab/internal/mapit"
@@ -17,7 +18,7 @@ func smallCorpus(t testing.TB) *platform.Corpus {
 	cfg := platform.DefaultCollect()
 	cfg.Tests = 400
 	cfg.PerPoolClients = 4
-	c, err := platform.Collect(world, cfg)
+	c, err := platform.CollectParallelCtx(context.Background(), world, cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package export
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"strings"
 	"testing"
@@ -19,7 +20,7 @@ func writeStreamedWorkers(t *testing.T, cfg platform.CollectConfig, collectW, en
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := platform.CollectStream(world, cfg, collectW, sw.WriteChunk); err != nil {
+	if _, err := platform.CollectStreamCtx(context.Background(), world, cfg, collectW, sw.WriteChunk); err != nil {
 		t.Fatal(err)
 	}
 	if err := sw.Close(); err != nil {
@@ -175,7 +176,7 @@ func benchChunk(b *testing.B) *platform.Chunk {
 	b.Helper()
 	cfg := streamCfg(1024, 1024)
 	var chunk *platform.Chunk
-	if _, err := platform.CollectStream(world, cfg, 2, func(c *platform.Chunk) error {
+	if _, err := platform.CollectStreamCtx(context.Background(), world, cfg, 2, func(c *platform.Chunk) error {
 		if chunk == nil {
 			chunk = c
 		}

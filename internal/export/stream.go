@@ -108,7 +108,7 @@ func (sw *StreamWriter) writeLine(v any) error {
 }
 
 // WriteChunk appends one collection chunk. It plugs directly into
-// platform.CollectStream as the sink.
+// platform.CollectStreamCtx as the sink.
 func (sw *StreamWriter) WriteChunk(c *platform.Chunk) error {
 	line := StreamChunk{
 		Chunk:             c.Index,

@@ -2,6 +2,7 @@ package export
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"strings"
 	"testing"
@@ -10,7 +11,7 @@ import (
 )
 
 // writeStreamed persists a campaign through the chunked writer via
-// platform.CollectStream and returns the bytes plus the stream stats.
+// platform.CollectStreamCtx and returns the bytes plus the stream stats.
 func writeStreamed(t *testing.T, cfg platform.CollectConfig, workers int) (*bytes.Buffer, *platform.StreamStats) {
 	t.Helper()
 	pub := FromWorld(world, nil).Public
@@ -19,7 +20,7 @@ func writeStreamed(t *testing.T, cfg platform.CollectConfig, workers int) (*byte
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := platform.CollectStream(world, cfg, workers, sw.WriteChunk)
+	st, err := platform.CollectStreamCtx(context.Background(), world, cfg, workers, sw.WriteChunk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func streamCfg(tests, chunk int) platform.CollectConfig {
 // footer carries the campaign ledger.
 func TestStreamRoundTrip(t *testing.T) {
 	cfg := streamCfg(400, 64)
-	batch, err := platform.Collect(world, cfg)
+	batch, err := platform.CollectParallelCtx(context.Background(), world, cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

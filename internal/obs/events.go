@@ -11,9 +11,9 @@ import (
 
 // The progress event bus. Metrics answer "how much"; events answer
 // "what just happened": a chunk was published, a pipeline stage
-// consumed an item, a reorder window stalled a producer, a fault retry
-// fired, a report pass sealed. The bus is the pipeline's live feed of
-// those moments, with the same contracts as the rest of the registry:
+// consumed an item, a fault retry fired, a report pass sealed. The bus
+// is the pipeline's live feed of those moments, with the same contracts
+// as the rest of the registry:
 //
 //   - Disabled is free. A nil *Bus (what Registry.Events returns when
 //     no bus is attached) ignores Publish without allocating — pinned
@@ -37,8 +37,8 @@ type Event struct {
 	// WallMS is milliseconds since the bus was created.
 	WallMS float64 `json:"wall_ms"`
 	// Kind names the event family, dotted like metric names:
-	// "collect.chunk", "pipeline.stage", "stream.stall",
-	// "fault.retry", "report.pass", "campaign.done".
+	// "collect.chunk", "pipeline.stage", "fault.retry", "report.pass",
+	// "campaign.done".
 	Kind string `json:"kind"`
 	// Name qualifies the kind (stage name, fault kind); may be empty.
 	Name string `json:"name,omitempty"`

@@ -16,8 +16,8 @@
 //     BenchmarkCounterAddDisabled and TestDisabledHandlesZeroAlloc), so
 //     instrumented hot paths cost one predictable branch when nobody is
 //     looking.
-//   - Race-safe. Handles are updated from CollectParallel's and
-//     RunParallel's worker pools: all mutation goes through sync/atomic,
+//   - Race-safe. Handles are updated from CollectParallelCtx's and
+//     RunParallelCtx's worker pools: all mutation goes through sync/atomic,
 //     and registration is mutex-guarded so two goroutines asking for the
 //     same name share one metric.
 //

@@ -229,8 +229,8 @@ func TestSummaryRendersEverything(t *testing.T) {
 
 // TestRegistryConcurrentShards hammers one registry from many
 // goroutines — counters, gauges, histograms, registration of the same
-// and distinct names, and child spans — mirroring how CollectParallel's
-// shards and RunParallel's workers share the CLI registry. Run under
+// and distinct names, and child spans — mirroring how CollectParallelCtx's
+// shards and RunParallelCtx's workers share the CLI registry. Run under
 // -race in CI.
 func TestRegistryConcurrentShards(t *testing.T) {
 	r := NewRegistry()

@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"testing"
@@ -39,13 +40,13 @@ func heavyCollect() CollectConfig {
 // TestFaultReplayDeterminism pins the fault plane's determinism
 // contract: a fixed (seed, profile, fault seed) yields a byte-identical
 // corpus — including every fault decision — at workers 1, 2 and 8, and
-// under serial Collect. Under -race this is also the aggressive-profile
+// serially. Under -race this is also the aggressive-profile
 // concurrency sweep: heavy faults drive the retry planner, truncation
 // and trace perturbation from all execution workers against one live
 // registry.
 func TestFaultReplayDeterminism(t *testing.T) {
 	cfg := heavyCollect()
-	serial, err := Collect(world, cfg)
+	serial, err := CollectParallelCtx(context.Background(), world, cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func TestFaultReplayDeterminism(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		icfg := cfg
 		icfg.Obs = obs.NewRegistry()
-		c, err := CollectParallel(world, icfg, workers)
+		c, err := CollectParallelCtx(context.Background(), world, icfg, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,12 +72,12 @@ func TestFaultReplayDeterminism(t *testing.T) {
 // value replays different faults on the same schedule.
 func TestFaultSeedIdentity(t *testing.T) {
 	cfg := heavyCollect()
-	def, err := Collect(world, cfg)
+	def, err := CollectParallelCtx(context.Background(), world, cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.FaultSeed = cfg.Seed
-	explicit, err := Collect(world, cfg)
+	explicit, err := CollectParallelCtx(context.Background(), world, cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestFaultSeedIdentity(t *testing.T) {
 		t.Error("FaultSeed=Seed differs from FaultSeed=0")
 	}
 	cfg.FaultSeed = cfg.Seed + 1
-	other, err := Collect(world, cfg)
+	other, err := CollectParallelCtx(context.Background(), world, cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestFaultSeedIdentity(t *testing.T) {
 // consumer side: a faultless campaign carries the zero ledger and no
 // degradation markers at all.
 func TestCleanCorpusHasZeroCompleteness(t *testing.T) {
-	c, err := Collect(world, smallCollect())
+	c, err := CollectParallelCtx(context.Background(), world, smallCollect(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestFaultCountersAndLedger(t *testing.T) {
 	reg := obs.NewRegistry()
 	cfg := heavyCollect()
 	cfg.Obs = reg
-	c, err := CollectParallel(world, cfg, 4)
+	c, err := CollectParallelCtx(context.Background(), world, cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +201,7 @@ func TestGoldenHashUnchangedByFaultsOff(t *testing.T) {
 	cfg := smallCollect()
 	cfg.Faults = faults.Off()
 	cfg.FaultSeed = 99 // must be inert while the profile is disabled
-	c, err := CollectParallel(world, cfg, 4)
+	c, err := CollectParallelCtx(context.Background(), world, cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -57,7 +58,7 @@ func TestBuildPopulation(t *testing.T) {
 }
 
 func TestCollectCorpus(t *testing.T) {
-	corpus, err := Collect(world, smallCollect())
+	corpus, err := CollectParallelCtx(context.Background(), world, smallCollect(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func TestCollectCorpus(t *testing.T) {
 }
 
 func TestCollectDiurnalVolume(t *testing.T) {
-	corpus, err := Collect(world, smallCollect())
+	corpus, err := CollectParallelCtx(context.Background(), world, smallCollect(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestCollectDiurnalVolume(t *testing.T) {
 }
 
 func TestCollectISPWeighting(t *testing.T) {
-	corpus, err := Collect(world, smallCollect())
+	corpus, err := CollectParallelCtx(context.Background(), world, smallCollect(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,12 +137,12 @@ func TestCollectISPWeighting(t *testing.T) {
 func TestBattleForNetMultipliesTests(t *testing.T) {
 	cfg := smallCollect()
 	cfg.Tests = 300
-	base, err := Collect(world, cfg)
+	base, err := CollectParallelCtx(context.Background(), world, cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.BattleForNet = true
-	bfn, err := Collect(world, cfg)
+	bfn, err := CollectParallelCtx(context.Background(), world, cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +178,7 @@ func TestCongestedPairShowsDiurnalDrop(t *testing.T) {
 	// testing against GTT Atlanta collapse at peak.
 	cfg := smallCollect()
 	cfg.Tests = 4000
-	corpus, err := Collect(world, cfg)
+	corpus, err := CollectParallelCtx(context.Background(), world, cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +293,7 @@ func BenchmarkCollect(b *testing.B) {
 	cfg.Tests = 500
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Collect(world, cfg); err != nil {
+		if _, err := CollectParallelCtx(context.Background(), world, cfg, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

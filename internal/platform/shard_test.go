@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"testing"
@@ -30,17 +31,17 @@ func corpusHash(c *Corpus) uint64 {
 
 // TestCollectParallelDeterminism pins the engine's determinism
 // contract: for a fixed seed (and shard count), every worker count
-// produces a byte-identical corpus, and serial Collect is the same
-// corpus as any CollectParallel.
+// produces a byte-identical corpus, and the serial (one-worker)
+// campaign is that same corpus.
 func TestCollectParallelDeterminism(t *testing.T) {
 	cfg := smallCollect()
-	serial, err := Collect(world, cfg)
+	serial, err := CollectParallelCtx(context.Background(), world, cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := corpusHash(serial)
 	for _, workers := range []int{1, 2, 3, 8} {
-		c, err := CollectParallel(world, cfg, workers)
+		c, err := CollectParallelCtx(context.Background(), world, cfg, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,7 +53,7 @@ func TestCollectParallelDeterminism(t *testing.T) {
 	// actually sensitive to the draws).
 	cfg2 := cfg
 	cfg2.Seed++
-	other, err := Collect(world, cfg2)
+	other, err := CollectParallelCtx(context.Background(), world, cfg2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestCollectParallelDeterminism(t *testing.T) {
 	// valid) corpus.
 	cfg3 := cfg
 	cfg3.Shards = DefaultShards * 2
-	resharded, err := Collect(world, cfg3)
+	resharded, err := CollectParallelCtx(context.Background(), world, cfg3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,11 +80,11 @@ func TestCollectBattleForNetParallel(t *testing.T) {
 	cfg := smallCollect()
 	cfg.Tests = 300
 	cfg.BattleForNet = true
-	serial, err := Collect(world, cfg)
+	serial, err := CollectParallelCtx(context.Background(), world, cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := CollectParallel(world, cfg, 4)
+	par, err := CollectParallelCtx(context.Background(), world, cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

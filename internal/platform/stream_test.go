@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -14,7 +15,7 @@ func collectViaStream(t *testing.T, cfg CollectConfig, workers int) (*Corpus, *S
 	corpus := &Corpus{}
 	lastID := -1
 	lastWatermark := -1
-	st, err := CollectStream(world, cfg, workers, func(c *Chunk) error {
+	st, err := CollectStreamCtx(context.Background(), world, cfg, workers, func(c *Chunk) error {
 		if c.FirstID <= lastID {
 			t.Errorf("chunk %d FirstID %d not after previous id %d", c.Index, c.FirstID, lastID)
 		}
@@ -41,7 +42,7 @@ func collectViaStream(t *testing.T, cfg CollectConfig, workers int) (*Corpus, *S
 // larger than the campaign.
 func TestCollectStreamMatchesBatch(t *testing.T) {
 	base := smallCollect()
-	batch, err := Collect(world, base)
+	batch, err := CollectParallelCtx(context.Background(), world, base, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func effectiveChunk(chunk int) int {
 // the surviving records must hash identically.
 func TestCollectStreamMatchesBatchUnderFaults(t *testing.T) {
 	base := heavyCollect()
-	batch, err := Collect(world, base)
+	batch, err := CollectParallelCtx(context.Background(), world, base, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestCollectStreamSinkError(t *testing.T) {
 	cfg := smallCollect()
 	cfg.ChunkTests = 100
 	calls := 0
-	_, err := CollectStream(world, cfg, 2, func(c *Chunk) error {
+	_, err := CollectStreamCtx(context.Background(), world, cfg, 2, func(c *Chunk) error {
 		calls++
 		if c.Index == 1 {
 			return boom

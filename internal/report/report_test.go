@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -8,7 +9,7 @@ import (
 )
 
 var env = func() *experiments.Env {
-	e, err := experiments.NewEnv(experiments.QuickOptions())
+	e, err := experiments.NewEnvCtx(context.Background(), experiments.QuickOptions())
 	if err != nil {
 		panic(err)
 	}

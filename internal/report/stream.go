@@ -22,7 +22,7 @@ import (
 )
 
 // MatchWindowMin and MatchMode are the association parameters the
-// pipeline uses everywhere (experiments.NewEnv and the streaming
+// pipeline uses everywhere (experiments.NewEnvCtx and the streaming
 // builder must agree, or stream and batch reports diverge).
 const (
 	MatchWindowMin = 10

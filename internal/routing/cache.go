@@ -23,7 +23,7 @@ import (
 // computation is deterministic, two workers racing on a cold key
 // compute identical values and either store wins. This keeps cached
 // resolution byte-identical to uncached resolution (asserted by
-// TestCachedResolverByteIdentical) and safe under CollectParallel's
+// TestCachedResolverByteIdentical) and safe under CollectParallelCtx's
 // worker pool (asserted under -race by TestResolverConcurrentWarmup).
 
 // cacheShards bounds lock contention during warm-up; hit paths take

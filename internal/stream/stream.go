@@ -1,9 +1,9 @@
-// Package stream is the concurrency substrate of the pipeline-parallel
-// streaming campaign: a bounded sequence-numbered reorder buffer that
-// turns out-of-order parallel production back into a deterministic
-// ordered stream, and a named-stage fan-out that runs independent
-// consumers of that stream on their own goroutines behind bounded
-// queues.
+// Package stream is the concurrency substrate of the streamed
+// campaign: a bounded sequence-numbered reorder buffer that turns
+// out-of-order parallel work (the corpus codecs' worker pools) back
+// into a deterministic ordered stream, and a named-stage fan-out that
+// runs independent consumers of that stream on their own goroutines
+// behind bounded queues.
 //
 // Both primitives exist so that parallelism never shows in results:
 // producers may finish in any order, but Reorder releases strictly by
@@ -39,8 +39,6 @@ type Reorder[T any] struct {
 	next   int // next sequence Next will release
 	buf    map[int]T
 
-	onStall func(seq int)
-
 	closed bool
 	err    error
 }
@@ -56,17 +54,6 @@ func NewReorder[T any](window int) *Reorder[T] {
 	return r
 }
 
-// OnStall registers a callback invoked (under the buffer's lock, at
-// most once per Put) when a Put is about to block outside the release
-// window — the telemetry hook that surfaces backpressure stalls as
-// progress events. The callback must not call back into the buffer and
-// must not block; set it before producers start.
-func (r *Reorder[T]) OnStall(fn func(seq int)) {
-	r.mu.Lock()
-	r.onStall = fn
-	r.mu.Unlock()
-}
-
 // Put hands over item seq. It blocks while seq is outside the release
 // window (seq >= next+window) and returns false once the buffer has
 // been failed or closed — the producer's signal to stop working.
@@ -74,9 +61,6 @@ func (r *Reorder[T]) OnStall(fn func(seq int)) {
 func (r *Reorder[T]) Put(seq int, v T) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.onStall != nil && seq >= r.next+r.window && r.err == nil && !r.closed {
-		r.onStall(seq)
-	}
 	for seq >= r.next+r.window && r.err == nil && !r.closed {
 		r.cond.Wait()
 	}

@@ -57,22 +57,17 @@ type brKey struct {
 	role  string
 }
 
-// Generate builds the world.
 // lazyRouteThreshold is the AS count above which generation always
 // uses lazy per-destination routing: at 10k ASes the eager n×n tables
 // cross ~600MB and grow quadratically from there, while campaigns touch
 // only the few dozen destination trees behind servers and client pools.
 const lazyRouteThreshold = 10000
 
-func Generate(cfg Config) (*World, error) {
-	return GenerateCtx(context.Background(), cfg)
-}
-
-// GenerateCtx is Generate under cooperative cancellation: a cancelled
-// ctx skips every remaining generation phase and returns an error
-// wrapping the context's cause. Cancellation is only observed at phase
-// boundaries — the coarsest grain that still aborts a multi-minute
-// xlarge build promptly, without threading ctx into the hot loops.
+// GenerateCtx builds the world. A cancelled ctx skips every remaining
+// generation phase and returns an error wrapping the context's cause.
+// Cancellation is only observed at phase boundaries — the coarsest
+// grain that still aborts a multi-minute xlarge build promptly, without
+// threading ctx into the hot loops.
 func GenerateCtx(ctx context.Context, cfg Config) (*World, error) {
 	if cfg.Scale.StubASes == 0 {
 		cfg.Scale = datasets.DefaultScale()
@@ -196,9 +191,10 @@ func GenerateCtx(ctx context.Context, cfg Config) (*World, error) {
 	return b.world, nil
 }
 
-// MustGenerate is Generate that panics on error, for tests and examples.
+// MustGenerate is GenerateCtx without cancellation that panics on
+// error, for tests and examples.
 func MustGenerate(cfg Config) *World {
-	w, err := Generate(cfg)
+	w, err := GenerateCtx(context.Background(), cfg)
 	if err != nil {
 		panic(err)
 	}

@@ -1,6 +1,7 @@
 package topogen
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -14,7 +15,7 @@ func TestManySeedsValidate(t *testing.T) {
 	for seed := int64(2); seed <= 6; seed++ {
 		cfg := SmallConfig()
 		cfg.Seed = seed
-		w, err := Generate(cfg)
+		w, err := GenerateCtx(context.Background(), cfg)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
