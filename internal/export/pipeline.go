@@ -207,6 +207,18 @@ func decodeRecord(rl rawLine) decoded {
 	if err := json.Unmarshal(rl.data, &c); err != nil {
 		return decoded{err: fmt.Errorf("export: corpus stream: chunk %d: invalid line: %w", rl.seq, err)}
 	}
+	// A JSON null decodes to a nil record, which every consumer would
+	// dereference; the writer never emits one.
+	for i, t := range c.Tests {
+		if t == nil {
+			return decoded{err: fmt.Errorf("export: corpus stream: chunk %d: test %d is null", rl.seq, i)}
+		}
+	}
+	for i, tr := range c.Traces {
+		if tr == nil {
+			return decoded{err: fmt.Errorf("export: corpus stream: chunk %d: trace %d is null", rl.seq, i)}
+		}
+	}
 	return decoded{chunk: &c}
 }
 

@@ -12,7 +12,7 @@ import (
 
 // writeStreamed persists a campaign through the chunked writer via
 // platform.CollectStreamCtx and returns the bytes plus the stream stats.
-func writeStreamed(t *testing.T, cfg platform.CollectConfig, workers int) (*bytes.Buffer, *platform.StreamStats) {
+func writeStreamed(t testing.TB, cfg platform.CollectConfig, workers int) (*bytes.Buffer, *platform.StreamStats) {
 	t.Helper()
 	pub := FromWorld(world, nil).Public
 	var buf bytes.Buffer

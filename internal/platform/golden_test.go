@@ -10,16 +10,18 @@ import (
 )
 
 // seedCorpusHash is the corpus FNV hash of the small-scale campaign
-// (SmallConfig world, smallCollect config) measured before the
-// resolver memoization layer landed. The caches, the delay matrix, the
-// weighted samplers, and every hot-path allocation cut must leave the
-// corpus byte-identical, so this constant must never change for
-// performance work; it moves only when the model itself intentionally
-// changes.
-const seedCorpusHash = 0x62321200631590a1
+// (SmallConfig world, smallCollect config). The caches, the delay
+// matrix, the weighted samplers, and every hot-path allocation cut must
+// leave the corpus byte-identical, so this constant must never change
+// for performance work; it moves only when the model itself
+// intentionally changes. It moved once, when the per-arrival RNG
+// switched from a reseeded math/rand source to a PCG source
+// (newArrivalRand, pinned by TestArrivalRandStream): that changes every
+// arrival's draws by design.
+const seedCorpusHash uint64 = 0xa67f73bbf9fe1148
 
 // TestCorpusGoldenSeedHash pins the collected corpus — with the cached
-// resolver, at several worker counts — to the pre-caching seed hash, on
+// resolver, at several worker counts — to seedCorpusHash, on
 // every scheduler shape: GOMAXPROCS 1, 2 and NumCPU. Worker goroutines
 // interleave differently under each setting, so a publish order that
 // leaked scheduling into the corpus would show here.

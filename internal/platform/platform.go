@@ -251,8 +251,9 @@ type arrival struct {
 	// lag is the traceroute launch offset relative to the test start,
 	// in [-2, +10] minutes (§4.1 timestamp skew).
 	lag int
-	// rngSeed seeds the arrival-private RNG that drives the test's
-	// noise draws and the traceroute's artifact draws.
+	// rngSeed seeds the arrival-private RNG (newArrivalRand) that
+	// drives the test's noise draws and the traceroute's artifact
+	// draws; it is also the arrival's fault-stream key.
 	rngSeed int64
 }
 
@@ -682,17 +683,13 @@ func CollectStreamCtx(ctx context.Context, w *topogen.World, cfg CollectConfig, 
 
 	// Phase 3 — execution, parallel over arrivals, chunked. Each
 	// arrival runs its NDT test and (when scheduled) its traceroute
-	// against a private RNG seeded during scheduling, so results land in
-	// fixed slots regardless of which worker computes them. Each worker
-	// owns one Rand and re-Seeds it per arrival: Seed(s) leaves the
-	// generator in exactly the NewSource(s) state, so the draws are
-	// unchanged but the ~5 KB source allocation happens once per worker
-	// instead of once per arrival (it was the campaign's largest
-	// allocation site). Chunking changes only which ids execute
-	// together, never the draws: the per-arrival RNG makes every id's
-	// result independent of its neighbors, and ids publish in order
-	// within and across chunks, so the concatenated stream is the batch
-	// corpus.
+	// against a private RNG built from the seed drawn during scheduling
+	// (newArrivalRand: a PCG source, two stores to seed), so results
+	// land in fixed slots regardless of which worker computes them.
+	// Chunking changes only which ids execute together, never the
+	// draws: the per-arrival RNG makes every id's result independent of
+	// its neighbors, and ids publish in order within and across chunks,
+	// so the concatenated stream is the batch corpus.
 	chunkTests := cfg.ChunkTests
 	if chunkTests <= 0 {
 		chunkTests = DefaultChunkTests
@@ -702,17 +699,13 @@ func CollectStreamCtx(ctx context.Context, w *topogen.World, cfg CollectConfig, 
 		startChunk = 0
 	}
 	execSpan := reg.Span("collect.execute")
-	workerRNGs := make([]*rand.Rand, workers)
-	for i := range workerRNGs {
-		workerRNGs[i] = rand.New(rand.NewSource(0))
-	}
 	st := &StreamStats{}
 	perShardTraces := make([]int64, shards)
 	// execArrival runs one scheduled test (and its traceroute, when the
-	// collector launched one) against the arrival's pre-seeded private
-	// RNG, writing the records into slot i. Which worker runs it can
-	// never perturb the draws.
-	execArrival := func(rng *rand.Rand, id int, tests []*ndt.Test, traces []*traceroute.Trace, i int) error {
+	// collector launched one) against the arrival's private RNG,
+	// writing the records into slot i. Which worker runs it can never
+	// perturb the draws.
+	execArrival := func(id int, tests []*ndt.Test, traces []*traceroute.Trace, i int) error {
 		if dropped != nil && dropped[id] {
 			return nil // abandoned by the retry planner; never ran
 		}
@@ -723,7 +716,7 @@ func CollectStreamCtx(ctx context.Context, w *topogen.World, cfg CollectConfig, 
 		}
 		h := households[a.hh]
 		server := a.site.Servers[int(a.entropy)%len(a.site.Servers)]
-		rng.Seed(a.rngSeed)
+		rng := newArrivalRand(a.rngSeed)
 		test, err := runner.Run(id, h.Endpoint, h.ISP, h.TierMbps, h.WiFiCapMbps,
 			server, minute, a.entropy, rng)
 		if err != nil {
@@ -758,8 +751,8 @@ func CollectStreamCtx(ctx context.Context, w *topogen.World, cfg CollectConfig, 
 		tests := make([]*ndt.Test, hi-lo)
 		traces := make([]*traceroute.Trace, hi-lo)
 		errs := make([]error, hi-lo)
-		runIndexedWorkers(hi-lo, workers, func(worker, i int) {
-			errs[i] = execArrival(workerRNGs[worker], lo+i, tests, traces, i)
+		runIndexed(hi-lo, workers, func(i int) {
+			errs[i] = execArrival(lo+i, tests, traces, i)
 		})
 		for _, err := range errs {
 			if err != nil {
@@ -884,19 +877,12 @@ func publishChunk(index, lo, hi int, schedule []arrival, tests []*ndt.Test,
 // runIndexed invokes fn(i) for every i in [0, n), spread over up to
 // workers goroutines. With one worker it runs inline.
 func runIndexed(n, workers int, fn func(i int)) {
-	runIndexedWorkers(n, workers, func(_, i int) { fn(i) })
-}
-
-// runIndexedWorkers is runIndexed with the executing worker's index
-// passed through, so callers can reuse per-worker scratch state (each
-// worker index runs on exactly one goroutine at a time).
-func runIndexedWorkers(n, workers int, fn func(worker, i int)) {
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			fn(0, i)
+			fn(i)
 		}
 		return
 	}
@@ -904,16 +890,16 @@ func runIndexedWorkers(n, workers int, fn func(worker, i int)) {
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(worker int) {
+		go func() {
 			defer wg.Done()
 			for {
 				i := int(atomic.AddInt64(&next, 1)) - 1
 				if i >= n {
 					return
 				}
-				fn(worker, i)
+				fn(i)
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 }

@@ -121,32 +121,6 @@ func (r *Reorder[T]) Err() error {
 	return r.err
 }
 
-// Pending reports how many delivered-but-unreleased items are buffered
-// (test and telemetry hook; racy by nature).
-func (r *Reorder[T]) Pending() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.buf)
-}
-
-// WatchContext fails the buffer with the context's cause when ctx is
-// cancelled, waking blocked producers and the consumer — the hook that
-// makes a reorder-backed pipeline cancellable without polling. The
-// returned stop function releases the watcher; call it once the buffer
-// has closed normally.
-func (r *Reorder[T]) WatchContext(ctx context.Context) (stop func()) {
-	done := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			r.Fail(context.Cause(ctx))
-		case <-done:
-		}
-	}()
-	var once sync.Once
-	return func() { once.Do(func() { close(done) }) }
-}
-
 // Stage is one named consumer of an ordered item stream.
 type Stage[T any] struct {
 	Name string
